@@ -14,8 +14,7 @@
 ///   bench_mva_scaling --smoke      small grid; exit 1 on any solver
 ///                                  error, scalar/blocked bit mismatch,
 ///                                  grouped-vs-reference tolerance
-///                                  breach, or a warm-started solve that
-///                                  fails to cut fixed-point iterations
+///                                  breach
 ///   bench_mva_scaling              full sweep (default min 200 ms/cell)
 ///   --min-ms=N --max-tasks=T      timing budget / largest task count
 ///   --json-out=PATH               machine-readable per-T medians
@@ -162,11 +161,6 @@ struct OverlapRow {
   double blocked_us = 0.0;
   double grouped_us = 0.0;
   int iterations = 0;
-  /// Fixed-point iterations on the perturbed-neighbor problem (demands
-  /// scaled 5%), solved from the uniform init vs warm-started with the
-  /// base problem's converged residence matrix.
-  int neighbor_cold_iters = 0;
-  int neighbor_warm_iters = 0;
   double blocked_speedup() const { return scalar_us / blocked_us; }
   double grouped_speedup() const { return blocked_us / grouped_us; }
 };
@@ -223,51 +217,9 @@ bool RunOverlapCell(int tasks, double min_ms, OverlapRow* row) {
     return false;
   }
 
-  // Warm-start cell: the same network with demands scaled 1% — the
-  // neighboring-sweep-point shape — solved cold vs seeded with the base
-  // problem's fixed point. The warm solve must land on the same fixed
-  // point and do so in strictly fewer damped sweeps.
-  OverlapMvaProblem neighbor = BuildOverlapProblem(tasks);
-  for (OverlapTask& task : neighbor.tasks) {
-    for (double& d : task.demand) d *= 1.01;
-  }
-  auto neighbor_cold = SolveOverlapMva(neighbor, blocked_opts, &scratch);
-  const FlatMatrix seed = SolutionResidenceMatrix(*blocked_sol);
-  OverlapMvaOptions warm_opts = blocked_opts;
-  warm_opts.initial_residence = &seed;
-  auto neighbor_warm = SolveOverlapMva(neighbor, warm_opts, &scratch);
-  if (!neighbor_cold.ok() || !neighbor_warm.ok()) {
-    std::fprintf(
-        stderr, "neighbor overlap MVA failed at T=%d: %s\n", tasks,
-        (!neighbor_cold.ok() ? neighbor_cold.status() : neighbor_warm.status())
-            .ToString()
-            .c_str());
-    return false;
-  }
-  if (!neighbor_warm->warm_started) {
-    std::fprintf(stderr, "warm start was not taken at T=%d\n", tasks);
-    return false;
-  }
-  if (!WithinRelTol(*neighbor_cold, *neighbor_warm)) {
-    std::fprintf(stderr,
-                 "warm-started solve outside tolerance at T=%d (must reach "
-                 "the cold fixed point)\n",
-                 tasks);
-    return false;
-  }
-  if (neighbor_warm->iterations >= neighbor_cold->iterations) {
-    std::fprintf(stderr,
-                 "warm start did not reduce iterations at T=%d "
-                 "(warm %d >= cold %d)\n",
-                 tasks, neighbor_warm->iterations, neighbor_cold->iterations);
-    return false;
-  }
-
   row->tasks = tasks;
   row->groups = groups;
   row->iterations = scalar_sol->iterations;
-  row->neighbor_cold_iters = neighbor_cold->iterations;
-  row->neighbor_warm_iters = neighbor_warm->iterations;
   const auto solve_scalar = [&] {
     return SolveOverlapMva(p, scalar_opts, &scratch).ok();
   };
@@ -303,14 +255,11 @@ bool WriteScalingJson(const std::string& path,
     std::snprintf(
         line, sizeof(line),
         "%s\n  {\"tasks\": %d, \"groups\": %d, \"tasks_per_group\": %d, "
-        "\"iterations\": %d, \"neighbor_cold_iterations\": %d, "
-        "\"neighbor_warm_iterations\": %d, "
-        "\"scalar_ns\": %.17g, \"blocked_ns\": %.17g, "
+        "\"iterations\": %d, \"scalar_ns\": %.17g, \"blocked_ns\": %.17g, "
         "\"grouped_ns\": %.17g, \"blocked_speedup\": %.17g, "
         "\"grouped_speedup_vs_blocked\": %.17g}",
         i == 0 ? "" : ",", r.tasks, r.groups, r.tasks / r.groups,
-        r.iterations, r.neighbor_cold_iters, r.neighbor_warm_iters,
-        r.scalar_us * 1e3, r.blocked_us * 1e3,
+        r.iterations, r.scalar_us * 1e3, r.blocked_us * 1e3,
         r.grouped_us * 1e3, r.blocked_speedup(), r.grouped_speedup());
     out += line;
   }
@@ -384,21 +333,19 @@ int Run(bool smoke, double min_ms, int max_tasks,
 
   std::printf("overlap-MVA kernel scaling (%s)\n",
               smoke ? "smoke grid" : "full grid");
-  std::printf("%-8s | %6s | %12s | %12s | %12s | %8s | %8s | %6s | %7s | "
-              "%7s\n",
+  std::printf("%-8s | %6s | %12s | %12s | %12s | %8s | %8s | %6s\n",
               "tasks", "groups", "scalar us", "blocked us", "grouped us",
-              "blk spd", "grp spd", "iters", "nbr cold", "nbr warm");
+              "blk spd", "grp spd", "iters");
   bool speedup_ok = true;
   std::vector<OverlapRow> rows;
   for (int tasks : task_counts) {
     OverlapRow row;
     if (!RunOverlapCell(tasks, min_ms, &row)) return 1;
     std::printf("%-8d | %6d | %12.2f | %12.2f | %12.2f | %7.2fx | %7.2fx "
-                "| %6d | %7d | %7d\n",
+                "| %6d\n",
                 row.tasks, row.groups, row.scalar_us, row.blocked_us,
                 row.grouped_us, row.blocked_speedup(), row.grouped_speedup(),
-                row.iterations, row.neighbor_cold_iters,
-                row.neighbor_warm_iters);
+                row.iterations);
     if (tasks >= 64 && row.blocked_speedup() < 2.0) speedup_ok = false;
     if (tasks >= 256 && row.grouped_speedup() < 5.0) speedup_ok = false;
     rows.push_back(row);
@@ -417,8 +364,7 @@ int Run(bool smoke, double min_ms, int max_tasks,
   }
   std::printf(
       "\nall solver statuses OK; per-task paths bit-identical; grouped "
-      "path within %g of reference; warm starts reduced neighbor "
-      "iterations on every row\n",
+      "path within %g of reference\n",
       kGroupedRelTol);
   return 0;
 }

@@ -38,7 +38,6 @@ struct SweepWorkState {
   /// Chunk c covers point indices [c·chunk_points, …) — fixed before
   /// any worker starts.
   size_t chunk_points = 1;
-  bool warm_start = false;
   /// Fan a point's repetitions out as pool sub-tasks (set only when
   /// chunks leave pool threads idle, so the sub-tasks always have a
   /// free thread to run on).
@@ -74,7 +73,7 @@ Result<ExperimentResult> EvaluatePoint(ThreadPool& pool,
   if (!fan_repetitions || reps <= 1) return RunExperiment(point, options);
 
   // Sub-tasks only touch the simulator side; strip the model options so
-  // no cross-thread pointer (scratch, warm-start carry) leaks into the
+  // no cross-thread pointer (the worker's kernel scratch) leaks into the
   // captured copies.
   ExperimentOptions sim_options = options;
   sim_options.model = ModelOptions{};
@@ -116,16 +115,13 @@ Result<ExperimentResult> EvaluatePoint(ThreadPool& pool,
   return AssembleExperimentResult(point, *model, rep_means);
 }
 
-/// Walks one stolen chunk in index order, threading the warm-start
-/// carry from each point into its successor. `point_done` is the
-/// progress callback hook.
+/// Walks one stolen chunk in index order. `point_done` is the progress
+/// callback hook.
 void ProcessChunk(ThreadPool& pool, SweepWorkState& state, size_t chunk,
                   const std::function<void()>& point_done) {
   const size_t begin = chunk * state.chunk_points;
   const size_t end =
       std::min(begin + state.chunk_points, state.units.size());
-  ModelWarmStart carry;
-  bool have_carry = false;
   for (size_t i = begin; i < end; ++i) {
     const SweepWorkState::Unit& unit = state.units[i];
     ExperimentOptions opts = unit.options;
@@ -133,27 +129,8 @@ void ProcessChunk(ThreadPool& pool, SweepWorkState& state, size_t chunk,
     // scratch across every point it evaluates (and across sweeps), so
     // grid sweeps stop reallocating solver buffers per point.
     opts.model.mva_scratch = &ThreadLocalMvaScratch();
-    ModelWarmStart exported;
-    if (state.warm_start) {
-      opts.model.warm_start = true;
-      opts.model.export_warm_start = &exported;
-      if (have_carry && !carry.empty()) {
-        opts.model.initial_guess = &carry;
-      }
-    }
-    Result<ExperimentResult> result =
+    state.slots[i] =
         EvaluatePoint(pool, unit.point, opts, state.fan_repetitions);
-    if (state.warm_start) {
-      if (result.ok()) {
-        carry = std::move(exported);
-        have_carry = true;
-      } else {
-        // A failed point resets the chain: its successor starts cold,
-        // exactly as if it opened the chunk.
-        have_carry = false;
-      }
-    }
-    state.slots[i] = std::move(result);
     point_done();
   }
 }
@@ -281,13 +258,7 @@ SweepReport SweepRunner::RunTasks(const std::vector<Task>& tasks) {
         options_.use_mva_cache ? cache_.get() : nullptr;
     state->units.push_back(std::move(unit));
   }
-  // The chunk layout is a pure function of the point count (plus the
-  // explicit override) — never of the worker count — so every
-  // warm-start chain is identical at any thread count.
-  state->chunk_points = options_.chunk_points > 0
-                            ? options_.chunk_points
-                            : DefaultSweepChunkPoints(n);
-  state->warm_start = options_.warm_start;
+  state->chunk_points = DefaultSweepChunkPoints(n);
   const size_t num_chunks =
       n == 0 ? 0 : (n + state->chunk_points - 1) / state->chunk_points;
   state->slots.resize(n);

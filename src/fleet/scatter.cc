@@ -180,11 +180,10 @@ Result<SweepExpansion> ExpandSweepRequest(const JsonValue& root) {
   return expansion;
 }
 
-std::vector<ChunkRange> ScatterChunks(size_t points, size_t chunk_points) {
+std::vector<ChunkRange> ScatterChunks(size_t points) {
   std::vector<ChunkRange> chunks;
   if (points == 0) return chunks;
-  const size_t width =
-      chunk_points > 0 ? chunk_points : DefaultSweepChunkPoints(points);
+  const size_t width = DefaultSweepChunkPoints(points);
   chunks.reserve((points + width - 1) / width);
   for (size_t begin = 0; begin < points; begin += width) {
     chunks.push_back(ChunkRange{begin, std::min(points, begin + width)});

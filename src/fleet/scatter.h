@@ -22,9 +22,10 @@
 /// point and validates it through ParseServeRequest — the identical
 /// strict validation predictd applies — yielding the canonical key
 /// that places the point's chunk on the ring. Chunk ranges come from
-/// DefaultSweepChunkPoints, PR 8's chunk layout: a pure function of
-/// the point count, so the split is deterministic and byte-identity
-/// of the merged response is inherited from per-point determinism.
+/// DefaultSweepChunkPoints, the sweep engine's chunk layout: a pure
+/// function of the point count, so the split is deterministic and
+/// byte-identity of the merged response is inherited from per-point
+/// determinism.
 ///
 /// Pure data transformation: no sockets, no threads. The router owns
 /// fan-out and gathering; tests drive this layer directly.
@@ -77,9 +78,9 @@ struct ChunkRange {
 };
 
 /// \brief Splits `points` indices into contiguous chunks of
-/// `chunk_points` (0 = DefaultSweepChunkPoints, the sweep engine's
-/// layout). Deterministic: a pure function of the two arguments.
-std::vector<ChunkRange> ScatterChunks(size_t points, size_t chunk_points = 0);
+/// DefaultSweepChunkPoints(points), the sweep engine's layout.
+/// Deterministic: a pure function of the point count.
+std::vector<ChunkRange> ScatterChunks(size_t points);
 
 /// \brief One per-point replica response, classified.
 struct PointOutcome {

@@ -22,7 +22,7 @@
 /// truncated, bit-flipped or foreign file is detected and rejected as a
 /// Status error — never undefined behavior, never a crash.
 ///
-/// Checkpoints are machine-local warm-start state, not an interchange
+/// Checkpoints are machine-local warm-restart state, not an interchange
 /// format: the doubles are raw host bytes (predictd writes on drain and
 /// reads on the next boot of the same host). A version bump is required
 /// for any layout change; readers reject unknown versions.

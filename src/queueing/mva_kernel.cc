@@ -172,29 +172,6 @@ double GroupedSweep(MvaKernelScratch& s, double damping) {
   return max_delta;
 }
 
-/// Seeds the iteration state from a caller-provided residence matrix:
-/// copies it over the packed zero-contention start and recomputes the
-/// per-row response sums. Returns false (leaving the scratch untouched)
-/// when the guess's shape does not match the packed problem — the
-/// caller falls back to the cold start.
-bool SeedInitialResidence(MvaKernelScratch& s, const FlatMatrix* initial) {
-  if (initial == nullptr) return false;
-  if (initial->rows != s.residence.rows ||
-      initial->cols != s.residence.cols) {
-    return false;
-  }
-  const size_t T = s.residence.rows;
-  const size_t K = s.residence.cols;
-  s.residence.data = initial->data;
-  for (size_t i = 0; i < T; ++i) {
-    const double* res = s.residence.Row(i);
-    double response = 0.0;
-    for (size_t k = 0; k < K; ++k) response += res[k];
-    s.response[i] = response;
-  }
-  return true;
-}
-
 }  // namespace
 
 MvaKernelPath ResolveMvaKernelPath(MvaKernelPath requested, size_t tasks) {
@@ -219,13 +196,9 @@ MvaKernelPath ResolveGroupedMvaKernelPath(MvaKernelPath requested,
 
 MvaKernelResult RunOverlapMvaFixedPoint(MvaKernelScratch& scratch,
                                         double tolerance, int max_iterations,
-                                        double damping, MvaKernelPath path,
-                                        const FlatMatrix* initial_residence) {
+                                        double damping, MvaKernelPath path) {
   path = ResolveMvaKernelPath(path, scratch.tasks());
   MvaKernelResult result;
-  // The per-task iteration refreshes q from residence at the top of
-  // every sweep, so seeding residence (+ response sums) is sufficient.
-  result.warm_started = SeedInitialResidence(scratch, initial_residence);
   for (int iter = 1; iter <= max_iterations; ++iter) {
     RefreshQ(scratch);
     const double max_delta = path == MvaKernelPath::kBlocked
@@ -243,26 +216,10 @@ MvaKernelResult RunOverlapMvaFixedPoint(MvaKernelScratch& scratch,
 MvaKernelResult RunGroupedOverlapMvaFixedPoint(MvaKernelScratch& scratch,
                                                double tolerance,
                                                int max_iterations,
-                                               double damping,
-                                               const FlatMatrix*
-                                                   initial_residence) {
+                                               double damping) {
   // No leading RefreshQ: the pack initialized q from the starting
-  // residence, and every sweep refreshes q for the next one. A warm
-  // seed therefore re-refreshes the q rows here, computing exactly what
-  // the pack would have from the seeded residence.
+  // residence, and every sweep refreshes q for the next one.
   MvaKernelResult result;
-  result.warm_started = SeedInitialResidence(scratch, initial_residence);
-  if (result.warm_started) {
-    const size_t G = scratch.tasks();
-    const size_t K = scratch.centers();
-    for (size_t g = 0; g < G; ++g) {
-      const double response = scratch.response[g];
-      const double inv_response = response > 0 ? 1.0 / response : 0.0;
-      const double* __restrict res = scratch.residence.Row(g);
-      double* __restrict qg = scratch.q.Row(g);
-      for (size_t k = 0; k < K; ++k) qg[k] = res[k] * inv_response;
-    }
-  }
   for (int iter = 1; iter <= max_iterations; ++iter) {
     const double max_delta = GroupedSweep(scratch, damping);
     result.iterations = iter;

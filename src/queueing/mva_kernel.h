@@ -126,10 +126,6 @@ struct MvaKernelResult {
   bool converged = false;
   /// Damped sweeps performed.
   int iterations = 0;
-  /// True when the run was seeded from a caller-provided initial
-  /// residence instead of the zero-contention pack (a dimension-
-  /// mismatched guess is ignored and reports false).
-  bool warm_started = false;
 };
 
 /// \brief Resolves kAuto to a concrete path for a T-task problem.
@@ -147,26 +143,13 @@ MvaKernelPath ResolveGroupedMvaKernelPath(MvaKernelPath requested,
 
 /// \brief Runs the damped overlap-MVA fixed point on packed buffers.
 ///
-/// Expects `scratch` packed by PackOverlapMvaProblem (mva_overlap.h);
-/// `residence` must hold the zero-contention initial guess (== demand)
-/// and `response` its row sums. On return `residence`/`response` hold
-/// the fixed point.
-///
-/// `initial_residence` (optional) warm-starts the iteration: when its
-/// shape matches the packed T×K residence buffer it replaces the
-/// zero-contention start (response row sums are recomputed from it), so
-/// a guess near the fixed point — the previous outer-loop iterate, a
-/// neighboring sweep point's solution — converges in a fraction of the
-/// cold iteration count. A null or shape-mismatched guess is ignored
-/// and the run is bit-identical to the historical cold start. Warm
-/// starts reach the same fixed point within the solver tolerance but
-/// along a different trajectory, so the converged bits may differ from
-/// a cold solve by up to that tolerance.
+/// Expects `scratch` packed by PackOverlapMvaProblem (mva_overlap.h):
+/// every solve starts from the zero-contention point the pack leaves in
+/// `residence` (== demand) and its row sums in `response`. On return
+/// `residence`/`response` hold the fixed point.
 MvaKernelResult RunOverlapMvaFixedPoint(MvaKernelScratch& scratch,
                                         double tolerance, int max_iterations,
-                                        double damping, MvaKernelPath path,
-                                        const FlatMatrix* initial_residence =
-                                            nullptr);
+                                        double damping, MvaKernelPath path);
 
 /// \brief Runs the group-compressed fixed point on packed G-row buffers.
 ///
@@ -177,17 +160,10 @@ MvaKernelResult RunOverlapMvaFixedPoint(MvaKernelScratch& scratch,
 /// sweep runs the blocked interference product over the G rows and
 /// refreshes every q row inside the residence update (fused RefreshQ),
 /// so an iteration is one pass over G×K state instead of two.
-///
-/// `initial_residence` warm-starts the G×K iteration exactly like the
-/// per-task kernel above; the q rows are re-refreshed from the seeded
-/// residence (this kernel has no leading RefreshQ pass).
 MvaKernelResult RunGroupedOverlapMvaFixedPoint(MvaKernelScratch& scratch,
                                                double tolerance,
                                                int max_iterations,
-                                               double damping,
-                                               const FlatMatrix*
-                                                   initial_residence =
-                                                       nullptr);
+                                               double damping);
 
 /// \brief Per-thread scratch singleton for solver callers that cannot
 /// thread an explicit scratch through (the sweep engine's workers).

@@ -213,7 +213,7 @@ Result<OverlapMvaSolution> SolveOverlapMva(const OverlapMvaProblem& problem,
 
   const MvaKernelResult run = RunOverlapMvaFixedPoint(
       s, options.tolerance, options.max_iterations, options.damping,
-      options.kernel, options.initial_residence);
+      options.kernel);
   if (!run.converged) {
     return Status::NotConverged(
         "overlap MVA did not converge within max_iterations");
@@ -229,20 +229,7 @@ Result<OverlapMvaSolution> SolveOverlapMva(const OverlapMvaProblem& problem,
   }
   sol.response = s.response;
   sol.iterations = run.iterations;
-  sol.warm_started = run.warm_started;
   return sol;
-}
-
-FlatMatrix SolutionResidenceMatrix(const OverlapMvaSolution& solution) {
-  FlatMatrix m;
-  const size_t rows = solution.residence.size();
-  const size_t cols = rows > 0 ? solution.residence[0].size() : 0;
-  m.ReshapeUninit(rows, cols);
-  for (size_t i = 0; i < rows; ++i) {
-    double* row = m.Row(i);
-    for (size_t k = 0; k < cols; ++k) row[k] = solution.residence[i][k];
-  }
-  return m;
 }
 
 void PackGroupedOverlapMvaProblem(const GroupedOverlapMvaProblem& problem,
@@ -300,7 +287,6 @@ OverlapMvaSolution ExpandGroupedMvaSolution(
   if (task_group.empty()) return group_solution;
   OverlapMvaSolution sol;
   sol.iterations = group_solution.iterations;
-  sol.warm_started = group_solution.warm_started;
   sol.residence.reserve(task_group.size());
   sol.response.reserve(task_group.size());
   for (int g : task_group) {
@@ -324,8 +310,7 @@ Result<OverlapMvaSolution> SolveGroupedOverlapMvaGroupLevel(
   PackGroupedOverlapMvaProblem(problem, &s);
 
   const MvaKernelResult run = RunGroupedOverlapMvaFixedPoint(
-      s, options.tolerance, options.max_iterations, options.damping,
-      options.initial_residence);
+      s, options.tolerance, options.max_iterations, options.damping);
   if (!run.converged) {
     return Status::NotConverged(
         "overlap MVA did not converge within max_iterations");
@@ -341,7 +326,6 @@ Result<OverlapMvaSolution> SolveGroupedOverlapMvaGroupLevel(
   }
   sol.response = s.response;
   sol.iterations = run.iterations;
-  sol.warm_started = run.warm_started;
   return sol;
 }
 

@@ -105,20 +105,6 @@ struct OverlapMvaOptions {
   /// validates once per SolveThrough and never re-validates on hits or
   /// the miss solve). Never affects results; not part of cache keys.
   bool assume_valid = false;
-  /// Optional warm start (not owned; must outlive the solve): an initial
-  /// residence matrix replacing the zero-contention start when its shape
-  /// matches the solved system — T×K for the per-task kernels, G×K for
-  /// the group-level kernel. A near-fixed-point guess (the previous
-  /// outer-loop iterate, a neighboring sweep point's solution) cuts the
-  /// iteration count by an order of magnitude; a mismatched shape is
-  /// ignored (cold start, bit-identical to historical behavior).
-  /// Deliberately excluded from cache keys — a warm solve reaches the
-  /// same fixed point within tolerance but along a different trajectory,
-  /// so warm-started solutions must never be looked up from or inserted
-  /// into a shared cache (SolveCache::SolveThrough bypasses the cache
-  /// entirely when this is set; see its comment for the determinism
-  /// argument).
-  const FlatMatrix* initial_residence = nullptr;
 };
 
 /// \brief Per-task solution.
@@ -128,12 +114,6 @@ struct OverlapMvaSolution {
   /// response[i]: Σ_k residence[i][k].
   std::vector<double> response;
   int iterations = 0;
-  /// True when the solve ran from a caller-provided initial residence
-  /// (OverlapMvaOptions::initial_residence with a matching shape).
-  /// Diagnostic only — never serialized by the cache checkpoint codec,
-  /// and always false for cached solutions (only cold solves are
-  /// cached).
-  bool warm_started = false;
 };
 
 /// \brief Solves the overlap-adjusted MVA fixed point.
@@ -176,12 +156,6 @@ Result<OverlapMvaSolution> SolveGroupedOverlapMvaGroupLevel(
 OverlapMvaSolution ExpandGroupedMvaSolution(
     const OverlapMvaSolution& group_solution,
     const std::vector<int>& task_group);
-
-/// \brief Copies a solution's residence rows into a flat row-major
-/// matrix usable as `OverlapMvaOptions::initial_residence` — the bridge
-/// from one solve's fixed point to the next solve's warm start. Rows
-/// must be rectangular (they are for every solver output).
-FlatMatrix SolutionResidenceMatrix(const OverlapMvaSolution& solution);
 
 /// \brief Packs a grouped `problem` for RunGroupedOverlapMvaFixedPoint:
 /// per-class demands, the count-weighted W matrix (W[g][h] = count_h·θ_gh

@@ -33,13 +33,16 @@ MvaCacheStats SumCacheStats(const MvaCacheStats& folded,
   total.misses = folded.misses + window.misses;
   total.insertions = folded.insertions + window.insertions;
   total.evictions = folded.evictions + window.evictions;
-  // Gauges, not window counters: resident entries and the
-  // checkpoint/recover lifecycle are cumulative already.
+  // Gauges, not window counters: resident entries, the
+  // checkpoint/recover lifecycle and the executed solves are cumulative
+  // already.
   total.size = window.size;
   total.checkpoints = window.checkpoints;
   total.checkpoint_entries = window.checkpoint_entries;
   total.recoveries = window.recoveries;
   total.recovered_entries = window.recovered_entries;
+  total.solves = window.solves;
+  total.solve_iterations = window.solve_iterations;
   return total;
 }
 

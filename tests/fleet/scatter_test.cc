@@ -135,11 +135,13 @@ TEST(ScatterChunksTest, MatchesTheSweepEnginesChunkLayout) {
     EXPECT_EQ(expected_begin, points);
   }
   EXPECT_TRUE(ScatterChunks(0).empty());
-  // Explicit width overrides the engine default.
-  const std::vector<ChunkRange> chunks = ScatterChunks(10, 4);
-  ASSERT_EQ(chunks.size(), 3u);
-  EXPECT_EQ(chunks[2].begin, 8u);
-  EXPECT_EQ(chunks[2].end, 10u);
+  // 100 points split 3 wide: 33 full chunks and a one-point tail.
+  const std::vector<ChunkRange> chunks = ScatterChunks(100);
+  ASSERT_EQ(chunks.size(), 34u);
+  EXPECT_EQ(chunks[32].begin, 96u);
+  EXPECT_EQ(chunks[32].end, 99u);
+  EXPECT_EQ(chunks[33].begin, 99u);
+  EXPECT_EQ(chunks[33].end, 100u);
 }
 
 TEST(ClassifyPointResponseTest, SuccessSlicesResultBytesExactly) {

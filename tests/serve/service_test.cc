@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "serve/json.h"
+#include "serve/metrics.h"
 
 namespace mrperf {
 namespace {
@@ -189,6 +190,37 @@ TEST(PredictServiceTest, ModelOnlyRequestsServeNullMeasurement) {
   EXPECT_TRUE(result->Find("measured_sec")->is_null());
   EXPECT_TRUE(result->Find("forkjoin_error")->is_null());
   EXPECT_GT(result->Find("forkjoin_sec")->number_value(), 0.0);
+}
+
+TEST(PredictServiceTest, StatsReportTheSolvesTheCacheExecuted) {
+  // Distinct model-only points: every A4 problem they pose that the
+  // cache has not seen is a miss, and every miss runs exactly one solve.
+  PredictService service(FastServiceOptions());
+  for (int nodes : {2, 3, 4}) {
+    const std::string line = "{\"nodes\":" + std::to_string(nodes) +
+                             ",\"input_gb\":0.25,\"model_only\":true}";
+    ASSERT_NE(service.Submit(line).get().find("\"ok\": true"),
+              std::string::npos);
+  }
+
+  const ServeStatsSnapshot snapshot = service.Stats();
+  EXPECT_GT(snapshot.cache.misses, 0);
+  EXPECT_EQ(snapshot.cache.solves, snapshot.cache.misses);
+  EXPECT_GT(snapshot.cache.solve_iterations, 0);
+
+  const std::string response = service.Submit(R"({"kind":"stats"})").get();
+  Result<JsonValue> parsed = ParseJson(response);
+  ASSERT_TRUE(parsed.ok()) << response;
+  const JsonValue* cache = parsed->Find("stats")->Find("cache");
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->Find("solves")->number_value(),
+            static_cast<double>(snapshot.cache.misses));
+  EXPECT_GT(cache->Find("solve_iterations")->number_value(), 0.0);
+
+  EXPECT_NE(FormatPrometheusMetrics(snapshot).find(
+                "predictd_cache_solves_total " +
+                std::to_string(snapshot.cache.solves) + "\n"),
+            std::string::npos);
 }
 
 TEST(PredictServiceTest, StatsRequestReportsAndResetsCacheWindow) {
